@@ -183,17 +183,41 @@ let check_cache_model ~rounds =
   done;
   !result
 
+(* Toy core with several copies of its unpipelined units: at small II a
+   multiply or divide then wraps around the table and lands on a cell
+   more than once, the case [Mrt]'s closed-form demand covers. *)
+let toy_wide =
+  {
+    Ts_isa.Machine.toy with
+    name = "toy-wide";
+    fu_counts =
+      Ts_isa.Machine.
+        [ (Fu_ialu, 2); (Fu_imul, 2); (Fu_falu, 1); (Fu_fmul, 3); (Fu_mem, 1); (Fu_br, 1) ];
+  }
+
 let check_mrt_model ~rounds =
-  let machines = [| Ts_isa.Machine.spmt_core; Ts_isa.Machine.toy |] in
+  let machines = [| Ts_isa.Machine.spmt_core; Ts_isa.Machine.toy; toy_wide |] in
   let opcodes = Array.of_list Ts_isa.Opcode.all in
+  let fu_of machine op = (machine.Ts_isa.Machine.describe op).fu in
   let result = ref None in
   let round = ref 0 in
   while !result = None && !round < rounds do
     let rng = Rng.of_string (Printf.sprintf "tsms-check/mrt/%d" !round) in
     let machine = Rng.pick rng machines in
-    let ii = 1 + Rng.int rng 6 in
+    (* Half the rounds at the small IIs where long occupancies wrap, half
+       up to the IIs unrolled bodies reach. *)
+    let ii = 1 + Rng.int rng (if Rng.bool rng 0.5 then 8 else 48) in
     let real = Ts_modsched.Mrt.create machine ~ii in
     let refm = R.Mrt.create machine ~ii in
+    (* Unpipelined ops are drawn more often: they are the ones that wrap. *)
+    let long_ops =
+      Array.of_list
+        (List.filter (fun op -> (machine.Ts_isa.Machine.describe op).busy > 1)
+           Ts_isa.Opcode.all)
+    in
+    let pick_op () =
+      if Rng.bool rng 0.3 then Rng.pick rng long_ops else Rng.pick rng opcodes
+    in
     let fail fmt =
       Printf.ksprintf
         (fun s ->
@@ -203,19 +227,23 @@ let check_mrt_model ~rounds =
                  machine.Ts_isa.Machine.name ii s))
         fmt
     in
-    let reserved = ref [] in
-    let step = ref 0 in
-    while !result = None && !step < 120 do
-      incr step;
-      let op = Rng.pick rng opcodes in
-      let cycle = Rng.int_in rng (-3) (3 * ii) in
+    let compare_fits op ~cycle =
       let got = Ts_modsched.Mrt.fits real op ~cycle in
       let expect = R.Mrt.fits refm op ~cycle in
       if got <> expect then
         fail "fits %s at cycle %d = %b, reference says %b"
-          (Ts_isa.Opcode.to_string op) cycle got expect
-      else begin
-        if got && Rng.bool rng 0.7 then begin
+          (Ts_isa.Opcode.to_string op) cycle got expect;
+      got
+    in
+    let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+    let reserved = ref [] in
+    let step = ref 0 in
+    while !result = None && !step < 120 do
+      incr step;
+      let op = pick_op () in
+      let cycle = Rng.int_in rng (-3) (3 * ii) in
+      if compare_fits op ~cycle then begin
+        if Rng.bool rng 0.7 then begin
           Ts_modsched.Mrt.reserve real op ~cycle;
           R.Mrt.reserve refm op ~cycle;
           reserved := (op, cycle) :: !reserved
@@ -226,6 +254,33 @@ let check_mrt_model ~rounds =
           reserved := List.filteri (fun j _ -> j <> i) !reserved;
           Ts_modsched.Mrt.release real o ~cycle:c;
           R.Mrt.release refm o ~cycle:c
+        end
+      end;
+      (* Invalid release: an op whose modulo row holds no reservation, or
+         whose unit class holds none anywhere, cannot be released. Both
+         models must refuse it and leave their tables as they were. *)
+      if !result = None && Rng.bool rng 0.2 then begin
+        let op = Rng.pick rng opcodes in
+        let cycle = Rng.int_in rng (-3) (3 * ii) in
+        let row c = Ts_base.Intmath.modulo c ii in
+        let held =
+          List.exists
+            (fun (o, c) -> row c = row cycle || fu_of machine o = fu_of machine op)
+            !reserved
+        in
+        if not held then begin
+          let real_raised = raises (fun () -> Ts_modsched.Mrt.release real op ~cycle) in
+          let ref_raised = raises (fun () -> R.Mrt.release refm op ~cycle) in
+          if not (real_raised && ref_raised) then
+            fail "invalid release of %s at cycle %d: raised %b, reference %b"
+              (Ts_isa.Opcode.to_string op) cycle real_raised ref_raised
+          else
+            Array.iter
+              (fun o ->
+                for c = 0 to ii - 1 do
+                  if !result = None then ignore (compare_fits o ~cycle:c)
+                done)
+              opcodes
         end
       end
     done;

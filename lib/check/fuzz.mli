@@ -66,7 +66,11 @@ val check_cache_model : rounds:int -> string option
 (** Differential streams over [Ts_spmt.Cache] vs {!Ref_models.Cache}. *)
 
 val check_mrt_model : rounds:int -> string option
-(** Differential streams over [Ts_modsched.Mrt] vs {!Ref_models.Mrt}. *)
+(** Differential streams over [Ts_modsched.Mrt] vs {!Ref_models.Mrt}, at
+    II 1–48 on the spmt and toy cores and on a toy core with several
+    copies of its unpipelined units (so occupancies wrap with
+    multiplicity). Streams include releases of nothing held: both models
+    must refuse them and keep answering [fits] alike. *)
 
 val loop_for_seed : int -> Ts_ddg.Ddg.t
 (** The generated loop for a fuzz seed (shape varies with the seed). *)

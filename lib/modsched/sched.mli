@@ -29,11 +29,25 @@ val create : ?asap:int array -> Ts_ddg.Ddg.t -> ii:int -> t
 (** Empty schedule at the given II. [asap] must be [asap_table g ~ii] (it
     is trusted and shared, not copied); when absent it is computed. *)
 
+val reset : t -> unit
+(** Unplace every node at once, keeping the arrays: a search that restarts
+    a placement at the same II reuses the schedule instead of allocating
+    a new one. *)
+
 val ddg : t -> Ts_ddg.Ddg.t
 val ii : t -> int
 
 val time : t -> int -> int option
 (** Issue cycle of a node, if placed. *)
+
+val unplaced : int
+(** The sentinel {!time_array} holds for a node that is not placed
+    ([min_int]). *)
+
+val time_array : t -> int array
+(** Issue cycle per node, or {!unplaced}: the schedule's own array, for
+    hot paths that must not allocate an option per read. Callers must not
+    mutate it. *)
 
 val is_scheduled : t -> int -> bool
 val n_scheduled : t -> int

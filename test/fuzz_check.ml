@@ -105,7 +105,9 @@ let quick_config =
 let test_unit_models_clean () =
   check_bool "mdt stream clean" true (Fz.check_mdt_model ~rounds:8 = None);
   check_bool "cache stream clean" true (Fz.check_cache_model ~rounds:8 = None);
-  check_bool "mrt stream clean" true (Fz.check_mrt_model ~rounds:8 = None)
+  (* 40 rounds: the wrap-around cases (toy-wide at II < busy) are a few
+     percent of the stream. *)
+  check_bool "mrt stream clean" true (Fz.check_mrt_model ~rounds:40 = None)
 
 let test_loop_generation_deterministic () =
   let a = Fz.loop_for_seed 7 and b = Fz.loop_for_seed 7 in

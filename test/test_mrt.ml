@@ -64,6 +64,48 @@ let test_release () =
   Ts_modsched.Mrt.release t Ts_isa.Opcode.Load ~cycle:0;
   check_bool "one slot back" true (Ts_modsched.Mrt.fits t Ts_isa.Opcode.Load ~cycle:0)
 
+(* Every observable answer of two tables agrees: issue slots at each row
+   and [fits] for every opcode at each row. *)
+let same_answers ~ii a b =
+  List.for_all
+    (fun c ->
+      Ts_modsched.Mrt.used_issue_slots a c = Ts_modsched.Mrt.used_issue_slots b c
+      && List.for_all
+           (fun op ->
+             Ts_modsched.Mrt.fits a op ~cycle:c = Ts_modsched.Mrt.fits b op ~cycle:c)
+           Ts_isa.Opcode.all)
+    (List.init ii Fun.id)
+
+let test_rejected_release_leaves_table () =
+  (* A release of something never reserved raises and changes nothing:
+     no negative cells, so no phantom capacity for later [fits] calls. *)
+  List.iter
+    (fun (machine, ii) ->
+      List.iter
+        (fun op ->
+          let t = Ts_modsched.Mrt.create machine ~ii in
+          Alcotest.check_raises "not reserved"
+            (Invalid_argument "Mrt.release: not reserved")
+            (fun () -> Ts_modsched.Mrt.release t op ~cycle:1);
+          check_bool
+            (Printf.sprintf "%s ii=%d %s: same as a fresh table"
+               machine.Ts_isa.Machine.name ii (Ts_isa.Opcode.to_string op))
+            true
+            (same_answers ~ii t (Ts_modsched.Mrt.create machine ~ii)))
+        Ts_isa.Opcode.all)
+    [ (m, 1); (m, 4); (m, 7); (Ts_isa.Machine.toy, 3); (Ts_isa.Machine.toy, 8) ];
+  (* Issue slot held but unit not: an FP add cannot release the row a
+     load holds, and the load's reservation survives intact. *)
+  let t = Ts_modsched.Mrt.create m ~ii:4 in
+  Ts_modsched.Mrt.reserve t Ts_isa.Opcode.Load ~cycle:2;
+  let before = Ts_modsched.Mrt.create m ~ii:4 in
+  Ts_modsched.Mrt.reserve before Ts_isa.Opcode.Load ~cycle:2;
+  Alcotest.check_raises "wrong unit"
+    (Invalid_argument "Mrt.release: not reserved")
+    (fun () -> Ts_modsched.Mrt.release t Ts_isa.Opcode.Fadd ~cycle:2);
+  check_bool "unchanged after a wrong-unit release" true
+    (same_answers ~ii:4 t before)
+
 let test_reserve_overflow_raises () =
   let t = Ts_modsched.Mrt.create m ~ii:2 in
   Ts_modsched.Mrt.reserve t Ts_isa.Opcode.Imul ~cycle:0;
@@ -103,6 +145,8 @@ let suite =
     Alcotest.test_case "fits: busy > capacity" `Quick test_unpipelined_too_big;
     Alcotest.test_case "fits: wrapped multiplicity" `Quick test_wrap_multiplicity;
     Alcotest.test_case "release undoes reserve" `Quick test_release;
+    Alcotest.test_case "release: rejected leaves table unchanged" `Quick
+      test_rejected_release_leaves_table;
     Alcotest.test_case "reserve: overflow raises" `Quick test_reserve_overflow_raises;
     Alcotest.test_case "create: bad ii" `Quick test_create_bad_ii;
     QCheck_alcotest.to_alcotest prop_capacity_never_exceeded;

@@ -126,6 +126,42 @@ let test_complete () =
   Alcotest.(check (array int)) "times" [| 0; 1 |] (S.times_exn s);
   Alcotest.(check (list int)) "placement order" [ 0; 1 ] (S.scheduled_nodes s)
 
+let test_unplace_keeps_order () =
+  let g = Fixtures.chain 4 in
+  let s = S.create g ~ii:4 in
+  List.iter (fun v -> S.place s v ~cycle:v) [ 2; 0; 3; 1 ];
+  S.unplace s 3;
+  Alcotest.(check (list int)) "order without 3" [ 2; 0; 1 ] (S.scheduled_nodes s);
+  check_bool "3 unplaced" true (S.time s 3 = None);
+  check_int "raw sentinel" S.unplaced (S.time_array s).(3);
+  S.place s 3 ~cycle:5;
+  Alcotest.(check (list int)) "3 re-placed last" [ 2; 0; 1; 3 ] (S.scheduled_nodes s)
+
+let test_reset_is_fresh () =
+  (* A reset schedule answers every query like a new one: times, masks,
+     resources, windows. *)
+  let g = Fixtures.motivating () in
+  let k = (Ts_sms.Sms.schedule g).Ts_sms.Sms.kernel in
+  let ii = k.Ts_modsched.Kernel.ii in
+  let s = S.create g ~ii in
+  Array.iteri (fun v c -> S.place s v ~cycle:c) k.Ts_modsched.Kernel.time;
+  S.reset s;
+  let fresh = S.create g ~ii in
+  check_int "nothing scheduled" 0 (S.n_scheduled s);
+  Alcotest.(check (list int)) "no order" [] (S.scheduled_nodes s);
+  Alcotest.(check (array bool)) "reg mask" (S.reg_active_mask fresh) (S.reg_active_mask s);
+  Alcotest.(check (array bool)) "mem mask" (S.mem_active_mask fresh) (S.mem_active_mask s);
+  for v = 0 to Ts_ddg.Ddg.n_nodes g - 1 do
+    check_bool "unplaced" true (S.time s v = None);
+    check_bool "same window" true (S.window s v = S.window fresh v);
+    for c = 0 to ii - 1 do
+      check_bool "same fit" (S.fits fresh v ~cycle:c) (S.fits s v ~cycle:c)
+    done
+  done;
+  (* and it can be filled again *)
+  Array.iteri (fun v c -> S.place s v ~cycle:c) k.Ts_modsched.Kernel.time;
+  check_bool "complete again" true (S.is_complete s)
+
 let test_create_below_recii_raises () =
   let g = Fixtures.accumulator () in
   check_bool "raises below RecII" true
@@ -149,5 +185,7 @@ let suite =
     Alcotest.test_case "place: double placement raises" `Quick test_double_place_raises;
     Alcotest.test_case "times_exn: incomplete raises" `Quick test_times_exn_incomplete;
     Alcotest.test_case "complete schedule" `Quick test_complete;
+    Alcotest.test_case "unplace: keeps placement order" `Quick test_unplace_keeps_order;
+    Alcotest.test_case "reset: same as a fresh schedule" `Quick test_reset_is_fresh;
     Alcotest.test_case "create: below RecII raises" `Quick test_create_below_recii_raises;
   ]

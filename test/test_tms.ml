@@ -171,6 +171,80 @@ let test_doacross_c_delay_regression () =
         sel.loops)
     Ts_workload.Doacross.all
 
+(* The slot probe runs once per candidate cycle of every node at every
+   grid point, so it must not allocate: a closure or option-boxing
+   regression in [Mrt.fits] or [Tms.admit] fails here, not only in a
+   timing bench. Half of a spec-suite loop's TMS kernel is placed, then
+   every unplaced node is probed at every cycle of a wide range. *)
+let test_slot_probe_allocation_free () =
+  let g =
+    Ts_workload.Spec_suite.loops (Ts_workload.Spec_suite.find "equake")
+    |> List.fold_left
+         (fun best g ->
+           let mems g = Array.length (Ts_ddg.Ddg.mem_edge_array g) in
+           if mems g > mems best then g else best)
+         (Fixtures.motivating ())
+  in
+  let r = Ts_tms.Tms.schedule ~params g in
+  let k = r.Ts_tms.Tms.kernel in
+  let ii = k.K.ii and n = Ts_ddg.Ddg.n_nodes g in
+  let placed v = v mod 2 = 0 in
+  let s = Ts_modsched.Sched.create g ~ii in
+  let mrt = Ts_modsched.Mrt.create g.machine ~ii in
+  for v = 0 to n - 1 do
+    if placed v then begin
+      Ts_modsched.Sched.place s v ~cycle:k.K.time.(v);
+      Ts_modsched.Mrt.reserve mrt (Ts_ddg.Ddg.node g v).op ~cycle:k.K.time.(v)
+    end
+  done;
+  let c_delay = r.Ts_tms.Tms.c_delay_threshold and p_max = r.Ts_tms.Tms.p_max in
+  let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
+  let span = 3 * ii in
+  let all = List.init n Fun.id in
+  let unplaced = List.filter (fun v -> not (placed v)) all in
+  let rounds = 1 + (10_000 / (List.length unplaced * span)) in
+  (* The probes must reach C2, or the float path goes unmeasured. *)
+  let c2_checks = ref 0 in
+  List.iter
+    (fun v ->
+      for cycle = 0 to span - 1 do
+        ignore
+          (Ts_tms.Tms.admissible s v ~cycle ~c_delay ~p_max ~c_reg_com
+             ~c2obs:(fun _ _ -> incr c2_checks))
+      done)
+    unplaced;
+  check_bool "some probes reach C2" true (!c2_checks > 0);
+  let per_call nodes f =
+    let calls = ref 0 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      List.iter
+        (fun v ->
+          for cycle = 0 to span - 1 do
+            incr calls;
+            ignore (f v cycle : bool)
+          done)
+        nodes
+    done;
+    let words = Gc.minor_words () -. w0 in
+    check_bool "at least 10k calls" true (!calls >= 10_000);
+    words /. float_of_int !calls
+  in
+  let fits_w =
+    per_call all (fun v cycle ->
+        Ts_modsched.Mrt.fits mrt (Ts_ddg.Ddg.node g v).op ~cycle)
+  in
+  let admit_w =
+    per_call unplaced (fun v cycle ->
+        Ts_tms.Tms.admissible s v ~cycle ~c_delay ~p_max ~c_reg_com)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Mrt.fits: %.3f minor words per call < 1" fits_w)
+    true (fits_w < 1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "Tms.admissible: %.3f minor words per call < 1" admit_w)
+    true (admit_w < 1.0)
+
 let suite =
   [
     Alcotest.test_case "motivating: beats SMS (paper Fig 2)" `Quick
@@ -186,6 +260,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tms_valid_and_bounded;
     Alcotest.test_case "IMS eviction cannot break C1/C2 claims" `Quick
       test_ims_eviction_keeps_claims;
+    Alcotest.test_case "slot probe allocates nothing" `Quick
+      test_slot_probe_allocation_free;
     Alcotest.test_case "DOACROSS loops: C_delay regression" `Slow
       test_doacross_c_delay_regression;
   ]
