@@ -62,15 +62,6 @@ let default_p_max = 0.05
 let default_f_slack = 1.5
 let default_place_retries = 3
 
-(* First [k] elements and the rest, in order ([k] is a small speculation
-   window, so the non-tail recursion is fine). *)
-let rec take_drop k = function
-  | [] -> ([], [])
-  | l when k <= 0 -> ([], l)
-  | x :: tl ->
-      let a, b = take_drop (k - 1) tl in
-      (x :: a, b)
-
 type slot_verdict = Admit | Reject_resource | Reject_c1 | Reject_c2
 
 (* ISSUE_SLOT_SELECTION (Figure 3, lines 18-28) for node [v] at cycle [c]:
@@ -335,13 +326,8 @@ let finish ~params ~p_max ~mii ~attempts ~fell_back ~c_delay_threshold ~f_min ke
    objective value, the accept/reject outcome and the reject reason
    (window-empty vs resource/C1/C2 slot exhaustion); searches are
    logical-time (Trace.tick), not cycle-time. *)
-let attempt_event trace ~base ~ii ~c_delay ~f ?reason accepted =
+let attempt_event trace ~base ~ii ~c_delay ~f ~reason accepted =
   if Trace.enabled trace then
-    let reason =
-      match reason with
-      | Some r -> r
-      | None -> if accepted then "scheduled" else "placement-failed"
-    in
     Trace.instant trace ~ts:(Trace.tick trace) "tms.attempt"
       ~args:
         [
@@ -368,20 +354,39 @@ let result_event trace (r : result) =
           ("fell_back", Ts_obs.Json.Bool r.fell_back);
         ]
 
-let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
-    ?(placement = Ts_isa.Placement.Round_robin) ~params g =
+type 'p engine = {
+  base : string;
+  prof_span : string;
+  prepare : Ts_ddg.Ddg.t -> mii:int -> ii:int -> 'p;
+  place :
+    Ts_ddg.Ddg.t ->
+    'p ->
+    ii:int ->
+    c_delay:int ->
+    p_max:float ->
+    c_reg_com:int ->
+    c2obs:(float -> bool -> unit) ->
+    slot_tally ->
+    (K.t, reject option) Stdlib.result;
+  fallback : Ts_ddg.Ddg.t -> K.t;
+}
+
+(* The Figure 3 outer search, shared by every placement engine: nothing
+   below depends on which engine runs, only on its record. *)
+let search engine ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii
+    ?point_memo ?(placement = Ts_isa.Placement.Round_robin) ~params g =
   (* Definition 2 under the placement: the search prices the worst
      distance-1 hop cost and target-core speed of the compiled map
      ([effective_params] is the identity for round-robin). *)
   let params = Ts_isa.Placement.effective_params placement params in
-  Ts_obs.Prof.span "tms.search" @@ fun () ->
+  Ts_obs.Prof.span engine.prof_span @@ fun () ->
   let mii = Ts_ddg.Mii.mii g in
   let ii_max =
     match max_ii with
     | Some m -> m
     | None ->
         (* II rarely exceeds the longest dependence path (Section 4.3);
-           cap the search grid there and rely on the SMS fallback for the
+           cap the search grid there and rely on the fallback for the
            pathological remainder. *)
         min (Ts_ddg.Mii.ii_upper_bound g) (max (Ts_ddg.Mii.ldp g) mii + 8)
   in
@@ -390,17 +395,18 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
   in
   let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
   let cd_max = ii_max - 1 + max_lat + c_reg_com in
-  let order = Ts_sms.Order.compute_with_dirs g ~ii:mii in
-  (* The grid revisits each II once per objective group: compute the ASAP
-     table (a Bellman-Ford relaxation) once per II, not per grid point. *)
-  let asap_cache = Hashtbl.create 8 in
-  let asap_for ii =
-    match Hashtbl.find_opt asap_cache ii with
-    | Some a -> a
+  let prepare = engine.prepare g ~mii in
+  (* The grid revisits each II once per objective group: run the
+     engine's per-II preparation (the ASAP Bellman-Ford relaxation, the
+     IMS priority sort) once per II, not per grid point. *)
+  let per_ii = Hashtbl.create 8 in
+  let prepared ii =
+    match Hashtbl.find_opt per_ii ii with
+    | Some p -> p
     | None ->
-        let a = S.asap_table g ~ii in
-        Hashtbl.add asap_cache ii a;
-        a
+        let p = prepare ~ii in
+        Hashtbl.add per_ii ii p;
+        p
   in
   let groups = Cost_model.f_groups params ~mii ~ii_max ~cd_max in
   if Trace.enabled trace then
@@ -413,37 +419,20 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
           ("ii_max", Ts_obs.Json.Int ii_max);
         ];
   let attempts = ref 0 in
-  (* Bounded order repair: when the swing order dead-ends, hoist the
-     blocking node to the front (so it gets first pick of the window) and
-     re-run the placement from scratch.  Each grid point restarts from
-     the pristine swing order. *)
   let cold_point ~ii ~cd =
     let tally = new_tally () in
     (* C2 comparison envelope for the warm-start memo (see
-       [point_outcome]); recorded across every order-repair retry. *)
+       [point_outcome]); recorded across every comparison the engine
+       makes, order-repair retries and post-checks included. *)
     let admit_max = ref neg_infinity and reject_min = ref infinity in
     let c2obs freq ok =
       if ok then (if freq > !admit_max then admit_max := freq)
       else if freq < !reject_min then reject_min := freq
     in
-    (* One schedule per grid point, cleared between retries. *)
-    let s = S.create ~asap:(asap_for ii) g ~ii in
-    let rec go order k =
-      let res =
-        try_schedule_tallied tally ~c2obs s ~order ~c_delay:cd ~p_max
-          ~c_reg_com
-      in
-      match res with
-      | Ok _ -> res
-      | Error rej when k < default_place_retries ->
-          let v = rej.node in
-          let entry = List.find (fun (u, _) -> u = v) order in
-          let rest = List.filter (fun (u, _) -> u <> v) order in
-          S.reset s;
-          go (entry :: rest) (k + 1)
-      | Error _ -> res
+    let res =
+      engine.place g (prepared ii) ~ii ~c_delay:cd ~p_max ~c_reg_com ~c2obs
+        tally
     in
-    let res = go order 0 in
     (match point_memo with
     | Some pm ->
         pm.pm_store ~ii ~c_delay:cd ~p_max
@@ -452,7 +441,7 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
               (match res with
               | Ok kernel -> Some (Array.copy kernel.K.time)
               | Error _ -> None);
-            po_reject = (match res with Error r -> Some r | Ok _ -> None);
+            po_reject = (match res with Error r -> r | Ok _ -> None);
             po_tally = (tally.t_resource, tally.t_c1, tally.t_c2, tally.t_admit);
             po_c2_admit_max = !admit_max;
             po_c2_reject_min = !reject_min;
@@ -470,8 +459,8 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
             let tally_of (r, c1, c2, ad) =
               { t_resource = r; t_c1 = c1; t_c2 = c2; t_admit = ad }
             in
-            match (po.po_times, po.po_reject) with
-            | Some times, _ -> (
+            match po.po_times with
+            | Some times -> (
                 (* A corrupted entry (times that no longer validate) falls
                    back to the cold attempt; the provider overwrites it. *)
                 match K.of_times g ~ii times with
@@ -479,10 +468,9 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
                     Metrics.incr m_warm_hits;
                     (Ok kernel, tally_of po.po_tally)
                 | exception _ -> cold_point ~ii ~cd)
-            | None, Some rej ->
+            | None ->
                 Metrics.incr m_warm_hits;
-                (Error rej, tally_of po.po_tally)
-            | None, None -> cold_point ~ii ~cd))
+                (Error po.po_reject, tally_of po.po_tally)))
   in
   let timed_point ~ii ~cd =
     let at0 = Unix.gettimeofday () in
@@ -497,6 +485,15 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
      small enough that a mid-chunk improvement of the incumbent wastes at
      most one chunk of evaluations. *)
   let spec_chunk = 2 * Ts_base.Parallel.get_jobs () in
+  (* First [k] elements and the rest, in order ([k] is the speculation
+     window, so the non-tail recursion is fine). *)
+  let rec take_drop k = function
+    | [] -> ([], [])
+    | l when k <= 0 -> ([], l)
+    | x :: tl ->
+        let a, b = take_drop (k - 1) tl in
+        (x :: a, b)
+  in
   (* F-plateau walk: scan objective groups in ascending F.  After the
      first feasible point fixes F0, keep scanning until F exceeds
      F0 + default_f_slack, tie-breaking toward the lowest II seen so far
@@ -518,8 +515,8 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
              chunk entry — a provable superset of the sequential walk's
              attempts within the chunk, since the incumbent only
              improves — is evaluated as a pool task ([try_point] is pure
-             given the shared read-only DDG, order and ASAP tables).  The
-             walk is then REPLAYED in sequential order, consuming a
+             given the shared read-only DDG and per-II preparations).
+             The walk is then REPLAYED in sequential order, consuming a
              precomputed outcome only when the point is still worth
              attempting and discarding the rest unflushed, so counters,
              trace events and the chosen kernel stay bit-identical to
@@ -544,13 +541,18 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
               Metrics.observe m_attempt_ms (dt *. 1000.0);
               match res with
               | Ok kernel ->
-                  attempt_event trace ~base:"sms" ~ii ~c_delay:cd ~f
+                  attempt_event trace ~base:engine.base ~ii ~c_delay:cd ~f
                     ~reason:"scheduled" true;
                   if !f0 = None then f0 := Some f;
                   best := Some (ii, cd, f, kernel)
               | Error rej ->
-                  attempt_event trace ~base:"sms" ~ii ~c_delay:cd ~f
-                    ~reason:(reject_reason rej) false
+                  let reason =
+                    match rej with
+                    | Some r -> reject_reason r
+                    | None -> "placement-failed"
+                  in
+                  attempt_event trace ~base:engine.base ~ii ~c_delay:cd ~f
+                    ~reason false
             end
           in
           let rec chunked = function
@@ -567,10 +569,10 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
                 in
                 let pre =
                   if par && List.length cands >= 2 then begin
-                    (* ASAP tables live in a (single-domain) Hashtbl
-                       cache: fill it for the chunk's IIs before fanning
+                    (* The per-II preparations live in a (single-domain)
+                       Hashtbl: fill it for the chunk's IIs before fanning
                        out. *)
-                    List.iter (fun (ii, _) -> ignore (asap_for ii)) cands;
+                    List.iter (fun (ii, _) -> ignore (prepared ii)) cands;
                     Ts_base.Parallel.map
                       (fun (ii, cd) -> ((ii, cd), timed_point ~ii ~cd))
                       cands
@@ -591,13 +593,12 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
         finish ~params ~p_max ~mii ~attempts:!attempts ~fell_back:false
           ~c_delay_threshold:cd ~f_min:f kernel
     | None ->
-        (* Grid exhausted: degenerate to SMS. *)
+        (* Grid exhausted: degenerate to the base scheduler. *)
         Metrics.incr m_fallbacks;
         if Trace.enabled trace then
           Trace.instant trace ~ts:(Trace.tick trace) "tms.fallback"
-            ~args:[ ("base", Ts_obs.Json.Str "sms") ];
-        let sms = Ts_sms.Sms.schedule g in
-        let kernel = sms.Ts_sms.Sms.kernel in
+            ~args:[ ("base", Ts_obs.Json.Str engine.base) ];
+        let kernel = engine.fallback g in
         let f_min =
           Cost_model.f_value params ~ii:kernel.K.ii
             ~c_delay:(max 1 (K.c_delay kernel ~c_reg_com))
@@ -610,6 +611,43 @@ let schedule ?(trace = Trace.null) ?(p_max = default_p_max) ?max_ii ?point_memo
   if Trace.enabled trace then
     Trace.end_span trace ~ts:(Trace.tick trace) "tms.search";
   r
+
+(* The swing engine: one placement pass in the swing order, with
+   bounded order repair — when the order dead-ends, hoist the blocking
+   node to the front (so it gets first pick of the window) and re-run
+   the placement from scratch.  Each grid point restarts from the
+   pristine swing order, and reuses one schedule, cleared between
+   retries. *)
+let place_swing g (order, asap) ~ii ~c_delay ~p_max ~c_reg_com ~c2obs tally =
+  let s = S.create ~asap g ~ii in
+  let rec go order k =
+    match
+      try_schedule_tallied tally ~c2obs s ~order ~c_delay ~p_max ~c_reg_com
+    with
+    | Ok kernel -> Ok kernel
+    | Error rej when k < default_place_retries ->
+        let v = rej.node in
+        let entry = List.find (fun (u, _) -> u = v) order in
+        let rest = List.filter (fun (u, _) -> u <> v) order in
+        S.reset s;
+        go (entry :: rest) (k + 1)
+    | Error rej -> Error (Some rej)
+  in
+  go order 0
+
+let swing =
+  {
+    base = "sms";
+    prof_span = "tms.search";
+    prepare =
+      (fun g ~mii ->
+        let order = Ts_sms.Order.compute_with_dirs g ~ii:mii in
+        fun ~ii -> (order, S.asap_table g ~ii));
+    place = place_swing;
+    fallback = (fun g -> (Ts_sms.Sms.schedule g).Ts_sms.Sms.kernel);
+  }
+
+let schedule = search swing
 
 let schedule_sweep ?(trace = Trace.null) ?(p_maxes = [ 0.01; 0.05; 0.25 ])
     ?point_memo ?(placement = Ts_isa.Placement.Round_robin) ~params g =

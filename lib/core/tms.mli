@@ -142,6 +142,61 @@ val schedule :
     Slot-level admission outcomes (resource/C1/C2 rejections, admissions)
     are counted on {!Ts_obs.Metrics.default} under [tms.slots.*]. *)
 
+type slot_tally
+(** Per-attempt slot-verdict counts (resource/C1/C2 rejections,
+    admissions). A placement engine fills the one it is handed; the grid
+    walk flushes it to the [tms.slots.*] counters only for attempts the
+    sequential walk makes, so speculative pool evaluations never skew
+    them. *)
+
+type 'p engine = {
+  base : string;
+      (** the base scheduler's name: the [base] argument of the
+          ["tms.attempt"] and ["tms.fallback"] events *)
+  prof_span : string;  (** the {!Ts_obs.Prof} span the search runs under *)
+  prepare : Ts_ddg.Ddg.t -> mii:int -> ii:int -> 'p;
+      (** per-II preparation, staged: [prepare g ~mii] runs once per
+          search, and the closure it returns once per II the grid visits
+          (the result is cached and shared by that II's points) *)
+  place :
+    Ts_ddg.Ddg.t ->
+    'p ->
+    ii:int ->
+    c_delay:int ->
+    p_max:float ->
+    c_reg_com:int ->
+    c2obs:(float -> bool -> unit) ->
+    slot_tally ->
+    (Ts_modsched.Kernel.t, reject option) Stdlib.result;
+      (** the cold placement at one grid point. Every comparison against
+          [p_max] must be reported to [c2obs] (it builds the warm-start
+          envelope of {!point_outcome}); the error carries the diagnosis
+          when the engine has one. Must be pure given its arguments: the
+          walk evaluates points speculatively on pool workers. *)
+  fallback : Ts_ddg.Ddg.t -> Ts_modsched.Kernel.t;
+      (** the plain base scheduler, returned when the grid is exhausted *)
+}
+(** A base scheduler that places one instruction at a time, made
+    thread-sensitive by {!search} (Section 4.1: TMS "is not tied to any
+    existing modulo scheduling algorithm"). *)
+
+val search :
+  'p engine ->
+  ?trace:Ts_obs.Trace.t ->
+  ?p_max:float ->
+  ?max_ii:int ->
+  ?point_memo:point_memo ->
+  ?placement:Ts_isa.Placement.policy ->
+  params:Ts_isa.Spmt_params.t ->
+  Ts_ddg.Ddg.t ->
+  result
+(** The Figure 3 outer search over [(II, C_delay)] under a given engine:
+    the F-plateau walk with lowest-II tie-break, the speculative
+    frontier with exact sequential replay, warm-start memo lookups and
+    stores, the [tms.*] counters, the [tms.attempt_ms] histogram and
+    the trace events, all exactly as documented for {!schedule}, which
+    is [search] over the swing engine. *)
+
 val reject_reason : reject -> string
 (** Compact label for traces: ["window-empty"],
     ["resource-exhausted"], ["c1-exhausted"], ["c2-exhausted"], or
@@ -207,24 +262,6 @@ val admissible :
   bool
 (** [admit ... = Admit]. Exposed so other base schedulers can be made
     thread-sensitive (see {!Tms_ims}) and for tests. *)
-
-val attempt_event :
-  Ts_obs.Trace.t ->
-  base:string ->
-  ii:int ->
-  c_delay:int ->
-  f:float ->
-  ?reason:string ->
-  bool ->
-  unit
-(** Emit one ["tms.attempt"] instant event (no-op on the null tracer);
-    shared with the other thread-sensitive instantiations ({!Tms_ims}).
-    [base] names the underlying scheduler (["sms"], ["ims"]); [reason]
-    defaults to ["scheduled"] / ["placement-failed"] by acceptance —
-    pass {!reject_reason} for the diagnosis. *)
-
-val result_event : Ts_obs.Trace.t -> result -> unit
-(** Emit the ["tms.result"] event for a finished search. *)
 
 val schedule_sweep :
   ?trace:Ts_obs.Trace.t ->

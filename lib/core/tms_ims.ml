@@ -12,228 +12,42 @@ type result = Tms.result = {
   fell_back : bool;
 }
 
-(* Same attempt-latency histogram as the swing-order search: an attempt
-   is an attempt whichever placement engine ran it. *)
-let m_attempt_ms =
-  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "tms.attempt_ms"
+(* One grid-point attempt: an IMS pass under the TMS admissibility
+   predicate, then a post-check.  Every placement passed [admissible],
+   but IMS eviction can retract decisions those checks relied on:
+   unscheduling the register dependence that preserved a speculative
+   memory dependence un-preserves it behind C2's back (and moving a
+   producer can likewise raise an already-checked sync past C_delay).
+   Re-derive both claims on the finished kernel and reject the grid
+   point if eviction broke them.  The post-pass misspeculation check is
+   a comparison of the same [freq <= p_max + 1e-12] shape as C2, so it
+   joins the warm-start envelope through [c2obs].  IMS reports no
+   blocking node, so there is no order-repair retry and no reject
+   diagnosis — the plateau scan alone recovers the deeper-pipelining
+   points. *)
+let place g (asap, prio) ~ii ~c_delay ~p_max ~c_reg_com ~c2obs _tally =
+  let admissible s v ~cycle =
+    Tms.admissible ~c2obs s v ~cycle ~c_delay ~p_max ~c_reg_com
+  in
+  match Ts_sms.Ims.try_ii ~admissible ~asap ~prio g ~ii with
+  | Some kernel when K.c_delay kernel ~c_reg_com <= c_delay ->
+      let m = Overheads.misspec_prob kernel ~c_reg_com in
+      let ok = m <= p_max +. 1e-12 in
+      c2obs m ok;
+      if ok then Ok kernel else Error None
+  | Some _ | None -> Error None
 
-let m_warm_hits =
-  Ts_obs.Metrics.counter Ts_obs.Metrics.default "tms.warm.point_hits"
+let ims =
+  {
+    Tms.base = "ims";
+    prof_span = "tms_ims.search";
+    (* Both the ASAP relaxation and the priority sort depend only on
+       (g, II). *)
+    prepare =
+      (fun g ~mii:_ ~ii ->
+        (Ts_modsched.Sched.asap_table g ~ii, Ts_sms.Ims.priority_order g ~ii));
+    place;
+    fallback = (fun g -> (Ts_sms.Ims.schedule g).Ts_sms.Ims.kernel);
+  }
 
-let schedule ?(trace = Ts_obs.Trace.null) ?(p_max = Tms.default_p_max) ?max_ii
-    ?point_memo ?(placement = Ts_isa.Placement.Round_robin) ~params g =
-  let params = Ts_isa.Placement.effective_params placement params in
-  Ts_obs.Prof.span "tms_ims.search" @@ fun () ->
-  let mii = Ts_ddg.Mii.mii g in
-  let ii_max =
-    match max_ii with
-    | Some m -> m
-    | None -> min (Ts_ddg.Mii.ii_upper_bound g) (max (Ts_ddg.Mii.ldp g) mii + 8)
-  in
-  let max_lat =
-    Array.fold_left (fun acc (nd : Ts_ddg.Ddg.node) -> max acc nd.latency) 1 g.nodes
-  in
-  let c_reg_com = params.Ts_isa.Spmt_params.c_reg_com in
-  let cd_max = ii_max - 1 + max_lat + c_reg_com in
-  let groups = Cost_model.f_groups params ~mii ~ii_max ~cd_max in
-  (* Per-II caches: the grid revisits an II once per objective group, and
-     both the ASAP relaxation and the priority sort depend only on
-     (g, II). *)
-  let per_ii = Hashtbl.create 8 in
-  let cached ii =
-    match Hashtbl.find_opt per_ii ii with
-    | Some c -> c
-    | None ->
-        let c =
-          (Ts_modsched.Sched.asap_table g ~ii, Ts_sms.Ims.priority_order g ~ii)
-        in
-        Hashtbl.add per_ii ii c;
-        c
-  in
-  let attempts = ref 0 in
-  let finish ~fell_back ~c_delay_threshold ~f_min kernel =
-    {
-      kernel;
-      mii;
-      c_delay_threshold;
-      achieved_c_delay = K.c_delay kernel ~c_reg_com;
-      p_max;
-      misspec = Overheads.misspec_prob kernel ~c_reg_com;
-      f_min;
-      attempts = !attempts;
-      fell_back;
-    }
-  in
-  (* F-plateau walk with lowest-II tie-breaking, mirroring [Tms.schedule]
-     (§7.9(a)).  IMS reports no blocking node, so there is no
-     order-repair retry here — the plateau scan alone recovers the
-     deeper-pipelining points. *)
-  (* One grid-point attempt: an IMS pass under the TMS admissibility
-     predicate, then a post-check.  Every placement passed [admissible],
-     but IMS eviction can retract decisions those checks relied on:
-     unscheduling the register dependence that preserved a speculative
-     memory dependence un-preserves it behind C2's back (and moving a
-     producer can likewise raise an already-checked sync past C_delay).
-     Re-derive both claims on the finished kernel and reject the grid
-     point if eviction broke them.  Pure given the shared read-only DDG
-     and per-II caches, so points can be evaluated speculatively on the
-     pool. *)
-  let cold_point ~ii ~cd =
-    (* C2 comparison envelope for the warm-start memo (the condition under
-       which this outcome transfers to another P_max; see
-       {!Tms.point_outcome}). The post-pass misspeculation check is a
-       comparison of the same [freq <= p_max + 1e-12] shape, so it joins
-       the envelope. *)
-    let admit_max = ref neg_infinity and reject_min = ref infinity in
-    let c2obs freq ok =
-      if ok then (if freq > !admit_max then admit_max := freq)
-      else if freq < !reject_min then reject_min := freq
-    in
-    let admissible s v ~cycle =
-      Tms.admissible ~c2obs s v ~cycle ~c_delay:cd ~p_max ~c_reg_com
-    in
-    let asap, prio = cached ii in
-    let at0 = Unix.gettimeofday () in
-    let res = Ts_sms.Ims.try_ii ~admissible ~asap ~prio g ~ii in
-    let dt = Unix.gettimeofday () -. at0 in
-    let res =
-      match res with
-      | Some kernel when K.c_delay kernel ~c_reg_com <= cd ->
-          let m = Overheads.misspec_prob kernel ~c_reg_com in
-          let ok = m <= p_max +. 1e-12 in
-          c2obs m ok;
-          if ok then Some kernel else None
-      | Some _ | None -> None
-    in
-    (match point_memo with
-    | Some pm ->
-        pm.Tms.pm_store ~ii ~c_delay:cd ~p_max
-          {
-            Tms.po_times =
-              Option.map (fun (k : K.t) -> Array.copy k.K.time) res;
-            po_reject = None;
-            po_tally = (0, 0, 0, 0);
-            po_c2_admit_max = !admit_max;
-            po_c2_reject_min = !reject_min;
-          }
-    | None -> ());
-    (res, dt)
-  in
-  let timed_point ~ii ~cd =
-    match point_memo with
-    | None -> cold_point ~ii ~cd
-    | Some pm -> (
-        match pm.Tms.pm_find ~ii ~c_delay:cd ~p_max with
-        | None -> cold_point ~ii ~cd
-        | Some { Tms.po_times = Some times; _ } -> (
-            match K.of_times g ~ii times with
-            | kernel ->
-                Ts_obs.Metrics.incr m_warm_hits;
-                (Some kernel, 0.0)
-            | exception _ -> cold_point ~ii ~cd)
-        | Some { Tms.po_times = None; _ } ->
-            Ts_obs.Metrics.incr m_warm_hits;
-            (None, 0.0))
-  in
-  let par =
-    (not (Ts_obs.Trace.enabled trace)) && Ts_base.Parallel.get_jobs () > 1
-  in
-  let spec_chunk = 2 * Ts_base.Parallel.get_jobs () in
-  let rec take_drop k = function
-    | [] -> ([], [])
-    | l when k <= 0 -> ([], l)
-    | x :: tl ->
-        let a, b = take_drop (k - 1) tl in
-        (x :: a, b)
-  in
-  let f0 = ref None in
-  let best = ref None in
-  let rec walk = function
-    | [] -> ()
-    | (f, points) :: rest ->
-        let past_plateau =
-          match !f0 with
-          | Some f0v -> f > f0v +. Tms.default_f_slack +. 1e-9
-          | None -> false
-        in
-        if not past_plateau then begin
-          (* Speculative frontier, chunked as in [Tms.schedule]: evaluate
-             each chunk's points still below the incumbent best II at
-             chunk entry as pool tasks (a superset of the sequential
-             walk's attempts within the chunk), then replay the walk in
-             order, consuming outcomes only for points still worth
-             attempting — counters and the chosen kernel stay
-             bit-identical to [--jobs 1]. *)
-          let replay pre (ii, cd) =
-            let worth =
-              match !best with
-              | None -> true
-              | Some (bii, _, _, _) -> ii < bii
-            in
-            if worth then begin
-              incr attempts;
-              let res, dt =
-                match List.assoc_opt (ii, cd) pre with
-                | Some v -> v
-                | None -> timed_point ~ii ~cd
-              in
-              Ts_obs.Metrics.observe m_attempt_ms (dt *. 1000.0);
-              Tms.attempt_event trace ~base:"ims" ~ii ~c_delay:cd ~f
-                (res <> None);
-              match res with
-              | Some kernel ->
-                  if !f0 = None then f0 := Some f;
-                  best := Some (ii, cd, f, kernel)
-              | None -> ()
-            end
-          in
-          let rec chunked = function
-            | [] -> ()
-            | points ->
-                let now, later = take_drop spec_chunk points in
-                let entry_bii =
-                  match !best with
-                  | None -> max_int
-                  | Some (bii, _, _, _) -> bii
-                in
-                let cands =
-                  List.filter (fun (ii, _) -> ii < entry_bii) now
-                in
-                let pre =
-                  if par && List.length cands >= 2 then begin
-                    (* The per-II cache Hashtbl is single-domain: fill it
-                       for the chunk's IIs before fanning out. *)
-                    List.iter (fun (ii, _) -> ignore (cached ii)) cands;
-                    Ts_base.Parallel.map
-                      (fun (ii, cd) -> ((ii, cd), timed_point ~ii ~cd))
-                      cands
-                  end
-                  else []
-                in
-                List.iter (replay pre) now;
-                chunked later
-          in
-          chunked points;
-          walk rest
-        end
-  in
-  walk groups;
-  let r =
-    match !best with
-    | Some (_, cd, f, kernel) ->
-        finish ~fell_back:false ~c_delay_threshold:cd ~f_min:f kernel
-    | None ->
-        (* grid exhausted: plain IMS fallback *)
-        if Ts_obs.Trace.enabled trace then
-          Ts_obs.Trace.instant trace ~ts:(Ts_obs.Trace.tick trace) "tms.fallback"
-            ~args:[ ("base", Ts_obs.Json.Str "ims") ];
-        let ims = Ts_sms.Ims.schedule g in
-        let kernel = ims.Ts_sms.Ims.kernel in
-        let f_min =
-          Cost_model.f_value params ~ii:kernel.K.ii
-            ~c_delay:(max 1 (K.c_delay kernel ~c_reg_com))
-        in
-        finish ~fell_back:true ~c_delay_threshold:cd_max ~f_min kernel
-  in
-  Tms.result_event trace r;
-  r
+let schedule = Tms.search ims

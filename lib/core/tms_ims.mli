@@ -6,7 +6,8 @@
     places one instruction at a time. This module instantiates it over
     {!Ts_sms.Ims} (Rau's iterative modulo scheduling) instead of SMS,
     substantiating the claim; the ablation bench compares the two
-    instantiations. *)
+    instantiations. Only the placement engine lives here: the grid walk
+    is {!Tms.search}, shared with {!Tms.schedule}. *)
 
 type result = Tms.result = {
   kernel : Ts_modsched.Kernel.t;
@@ -30,8 +31,17 @@ val schedule :
   Ts_ddg.Ddg.t ->
   result
 (** TMS-over-IMS. Falls back to plain IMS if the grid is exhausted.
-    [trace] receives the same ["tms.attempt"]/["tms.fallback"]/
-    ["tms.result"] events as {!Tms.schedule}, with [base = "ims"].
-    [point_memo] warm-starts the grid walk ({!Tms.point_memo}); providers
-    must key IMS-engine outcomes separately from swing-engine ones — the
-    two engines disagree at the same grid point. *)
+    Each grid point is one IMS pass under {!Tms.admissible}, then a
+    post-check that rejects the point when IMS eviction broke an
+    earlier C1 or C2 decision; IMS gives no reject diagnosis, so failed
+    attempts carry the reason ["placement-failed"].
+
+    Everything else is {!Tms.schedule}'s: [trace] receives the same
+    ["tms.search"] span and ["tms.attempt"]/["tms.fallback"]/
+    ["tms.result"] events, with [base = "ims"]; the search counts on
+    the same [tms.attempts], [tms.schedules], [tms.fallbacks] and
+    [tms.attempt_ms] metrics and runs under the [tms_ims.search]
+    {!Ts_obs.Prof} span. [point_memo] warm-starts the grid walk
+    ({!Tms.point_memo}); providers must key IMS-engine outcomes
+    separately from swing-engine ones — the two engines disagree at the
+    same grid point. *)

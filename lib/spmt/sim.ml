@@ -347,25 +347,6 @@ let wb_pop a =
   Array.unsafe_set h !i last;
   top
 
-(* The TS_SIM_TRACE / TS_SIM_TRACE_NODES env vars (removed after a
-   deprecation cycle) used to dump per-thread timings to stderr. Setting
-   them is now a hard error rather than a silent no-op, so an old
-   debugging recipe fails loudly with a pointer at the replacement. *)
-let reject_legacy_trace_env () =
-  (* An empty value counts as unset: there is no unsetenv in the stdlib,
-     so callers (and tests) clear the variable with [putenv var ""]. *)
-  let set var =
-    match Sys.getenv_opt var with Some s -> s <> "" | None -> false
-  in
-  if set "TS_SIM_TRACE" then
-    invalid_arg
-      "Sim.run: TS_SIM_TRACE has been removed; use the structured tracer \
-       instead (tsms simulate --trace FILE, or --trace-format jsonl)";
-  if set "TS_SIM_TRACE_NODES" then
-    invalid_arg
-      "Sim.run: TS_SIM_TRACE_NODES has been removed; use the structured \
-       tracer instead (tsms simulate --trace FILE)"
-
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
@@ -399,7 +380,6 @@ let run_internal ?seed ?plan ~sync_mem ~warmup ~check ?observe ~trace ~trace_pid
         (Ts_isa.Spmt_params.core_desc p i).Ts_isa.Spmt_params.lat_scale)
   in
   let has_width = Array.exists (fun w -> w > 0) core_width in
-  reject_legacy_trace_env ();
   let traced = Trace.enabled trace in
   if traced then begin
     for c = 0 to ncore - 1 do

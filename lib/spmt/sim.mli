@@ -144,12 +144,7 @@ val run :
     Identical totals are also accumulated on {!Ts_obs.Metrics.default}
     under [sim.*]: counters plus the [sim.run_ms] and [sim.ns_per_cycle]
     latency histograms, and a [sim.run.fast]/[sim.run.exact]
-    {!Ts_obs.Prof} span per call.
-
-    The legacy [TS_SIM_TRACE]/[TS_SIM_TRACE_NODES] env-var debugging
-    (deprecated since the structured tracer landed) has been removed;
-    setting either variable makes [run] raise [Invalid_argument] with a
-    pointer at [--trace] rather than silently ignore it. *)
+    {!Ts_obs.Prof} span per call. *)
 
 val ipc : Ts_modsched.Kernel.t -> stats -> float
 (** Committed instructions per cycle (excludes squashed work). *)

@@ -195,6 +195,71 @@ let prop_max_live_positive =
           let k = r.Ts_sms.Sms.kernel in
           K.max_live k >= if Ts_ddg.Ddg.reg_edges g = [] then 0 else 1)
 
+(* --- prologue / epilogue --- *)
+
+let slices_kernel () =
+  (* 3-node chain at ii=2: stages 0,0,1 *)
+  Ts_modsched.Kernel.of_times (Fixtures.chain 3) ~ii:2 [| 0; 1; 2 |]
+
+let test_thread_slice_prologue () =
+  let k = slices_kernel () in
+  (* thread 0 runs only stage-0 instructions *)
+  Alcotest.(check (list int)) "prologue thread" [ 0; 1 ]
+    (Ts_modsched.Codegen.thread_slice k ~thread:0 ~trip:5);
+  (* middle threads run everything, in row order (ties by id) *)
+  Alcotest.(check (list int)) "steady state" [ 0; 2; 1 ]
+    (Ts_modsched.Codegen.thread_slice k ~thread:2 ~trip:5);
+  (* the final thread drains stage 1 *)
+  Alcotest.(check (list int)) "epilogue thread" [ 2 ]
+    (Ts_modsched.Codegen.thread_slice k ~thread:5 ~trip:5)
+
+let test_thread_slice_conservation () =
+  let k = slices_kernel () in
+  let trip = 7 in
+  let total = ref 0 in
+  for j = 0 to Ts_modsched.Codegen.n_threads k ~trip - 1 do
+    total := !total + List.length (Ts_modsched.Codegen.thread_slice k ~thread:j ~trip)
+  done;
+  check_int "every source instruction exactly once"
+    (trip * Ts_ddg.Ddg.n_nodes k.Ts_modsched.Kernel.g)
+    !total
+
+let prop_slice_conservation =
+  QCheck.Test.make ~count:25 ~name:"thread slices conserve instructions"
+    Fixtures.arb_loop (fun arb ->
+      let g = Fixtures.loop_of_arb arb in
+      match Ts_sms.Sms.schedule g with
+      | exception Ts_sms.Sms.No_schedule _ -> QCheck.assume_fail ()
+      | r ->
+          let k = r.Ts_sms.Sms.kernel in
+          let trip = 11 in
+          let total = ref 0 in
+          for j = 0 to Ts_modsched.Codegen.n_threads k ~trip - 1 do
+            total :=
+              !total + List.length (Ts_modsched.Codegen.thread_slice k ~thread:j ~trip)
+          done;
+          !total = trip * Ts_ddg.Ddg.n_nodes g)
+
+(* --- register pressure --- *)
+
+let test_fits_registers () =
+  let g = Fixtures.motivating () in
+  let k = (Ts_sms.Sms.schedule g).Ts_sms.Sms.kernel in
+  check_bool "small kernel fits" true (Ts_modsched.Kernel.fits_registers k)
+
+let test_suite_register_pressure () =
+  (* TMS's aggressive stage counts must still fit the register file *)
+  let params = Ts_isa.Spmt_params.default in
+  let loops = Ts_workload.Spec_suite.loops (Ts_workload.Spec_suite.find "mgrid") in
+  List.iter
+    (fun g ->
+      let r = Ts_tms.Tms.schedule ~params g in
+      check_bool
+        (g.Ts_ddg.Ddg.name ^ " within register budget")
+        true
+        (Ts_modsched.Kernel.fits_registers r.Ts_tms.Tms.kernel))
+    loops
+
 let suite =
   [
     Alcotest.test_case "normalise: rows and stages" `Quick test_normalisation_rows_stages;
@@ -219,4 +284,17 @@ let suite =
     Alcotest.test_case "pp renders" `Quick test_pp_runs;
     QCheck_alcotest.to_alcotest prop_sms_kernels_valid;
     QCheck_alcotest.to_alcotest prop_max_live_positive;
+  ]
+
+(* Codegen thread slices and the register-file check, run as their own
+   group "codegen+slices". *)
+let codegen_suite =
+  [
+    Alcotest.test_case "slices: prologue/kernel/epilogue" `Quick
+      test_thread_slice_prologue;
+    Alcotest.test_case "slices: conservation" `Quick test_thread_slice_conservation;
+    QCheck_alcotest.to_alcotest prop_slice_conservation;
+    Alcotest.test_case "registers: small kernel fits" `Quick test_fits_registers;
+    Alcotest.test_case "registers: TMS suite pressure" `Slow
+      test_suite_register_pressure;
   ]

@@ -12,6 +12,7 @@ let () =
       ("mrt", Test_mrt.suite);
       ("sched", Test_sched.suite);
       ("kernel", Test_kernel.suite);
+      ("codegen+slices", Test_kernel.codegen_suite);
       ("order+sms", Test_order_sms.suite);
       ("cost-model", Test_cost_model.suite);
       ("tms", Test_tms.suite);
@@ -25,6 +26,5 @@ let () =
       ("resil", Test_resil.suite);
       ("serve", Test_serve.suite);
       ("extensions", Test_extensions.suite);
-      ("profile+slices", Test_profile.suite);
       ("fuzz+check", Fuzz_check.suite);
     ]

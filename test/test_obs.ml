@@ -1,7 +1,6 @@
 (* The Ts_obs observability layer: JSON emission/parsing, the metrics
    registry, the Chrome/JSONL tracer, the simulator's structured trace
-   (validity + determinism), domain-safety of the tracer, and the hard
-   error on the removed TS_SIM_TRACE env vars. *)
+   (validity + determinism) and domain-safety of the tracer. *)
 
 module J = Ts_obs.Json
 module Metrics = Ts_obs.Metrics
@@ -298,35 +297,6 @@ let test_trace_parallel_writers () =
       | Error msg -> Alcotest.failf "torn jsonl line %S: %s" l msg)
     lines
 
-(* --- Removed legacy env vars --- *)
-
-(* Setting the removed TS_SIM_TRACE / TS_SIM_TRACE_NODES debug vars is a
-   hard error pointing at --trace; an empty value counts as unset (there
-   is no unsetenv, so "" is how the variable is cleared). *)
-let with_env var value f =
-  Unix.putenv var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv var "") f
-
-let expect_legacy_error var value =
-  with_env var value @@ fun () ->
-  let cfg, plan, kernel = sim_setup () in
-  match Ts_spmt.Sim.run ~plan ~warmup:8 cfg kernel ~trip:32 with
-  | _ -> Alcotest.failf "%s=%S: expected Invalid_argument" var value
-  | exception Invalid_argument msg ->
-      check_bool "error names the var" true (contains msg var);
-      check_bool "error names the replacement" true (contains msg "--trace")
-
-let test_legacy_env_rejected () =
-  expect_legacy_error "TS_SIM_TRACE" "3-17";
-  expect_legacy_error "TS_SIM_TRACE" "garbage";
-  expect_legacy_error "TS_SIM_TRACE_NODES" "0,3,8"
-
-let test_legacy_env_empty_ok () =
-  with_env "TS_SIM_TRACE" "" @@ fun () ->
-  let cfg, plan, kernel = sim_setup () in
-  let st = Ts_spmt.Sim.run ~plan ~warmup:8 cfg kernel ~trip:32 in
-  check_bool "runs" true (st.Ts_spmt.Sim.cycles > 0)
-
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -341,6 +311,4 @@ let suite =
     Alcotest.test_case "sim trace deterministic" `Quick test_sim_trace_deterministic;
     Alcotest.test_case "search log attempts" `Quick test_search_log_attempts;
     Alcotest.test_case "trace parallel writers" `Quick test_trace_parallel_writers;
-    Alcotest.test_case "legacy env rejected" `Quick test_legacy_env_rejected;
-    Alcotest.test_case "legacy env empty ok" `Quick test_legacy_env_empty_ok;
   ]
