@@ -202,20 +202,6 @@ val reject_reason : reject -> string
     ["resource-exhausted"], ["c1-exhausted"], ["c2-exhausted"], or
     ["mixed-exhausted"] when several conditions contributed. *)
 
-val try_schedule_explained :
-  ?asap:int array ->
-  Ts_ddg.Ddg.t ->
-  order:(int * Ts_modsched.Sched.direction) list ->
-  ii:int ->
-  c_delay:int ->
-  p_max:float ->
-  c_reg_com:int ->
-  (Ts_modsched.Kernel.t, reject) Stdlib.result
-(** One TMS attempt at a fixed [(II, C_delay)] (Figure 3 lines 8-15) with
-    the failure diagnosis. [asap] must be
-    [Ts_modsched.Sched.asap_table g ~ii] when supplied (grid searches
-    cache it per II). *)
-
 val try_schedule :
   ?asap:int array ->
   Ts_ddg.Ddg.t ->
@@ -225,8 +211,10 @@ val try_schedule :
   p_max:float ->
   c_reg_com:int ->
   Ts_modsched.Kernel.t option
-(** {!try_schedule_explained} without the diagnosis, exposed for tests
-    and for the ablation benches. *)
+(** One TMS attempt at a fixed [(II, C_delay)] (Figure 3 lines 8-15).
+    [asap] must be [Ts_modsched.Sched.asap_table g ~ii] when supplied
+    (grid searches cache it per II). Exposed for tests and for the
+    ablation benches. *)
 
 type slot_verdict = Admit | Reject_resource | Reject_c1 | Reject_c2
 

@@ -1,20 +1,22 @@
 (* On-disk layout:
 
-     <dir>/version        human-readable store format stamp
-     <dir>/objects/<k0k1>/<key>.bin
+     <dir>/version                 human-readable store format stamp
+     <dir>/segments/<name>.seg     append-only result log, one per writing handle
      <dir>/journals/<name>.j
 
-   Entry format ("tsp1" magic):
+   Record framing, shared by segments and journals:
 
-     tsp1 <payload-digest-hex>\n<marshalled payload>
+     r <id-length> <payload-length> <payload-digest-hex>\n<id><payload>\n
 
-   Journal format ("tsj1" magic):
-
-     tsj1 <fingerprint-hex>\n
-     r <id-length> <payload-length>\n<id><marshalled payload>\n  (repeated)
+   A segment is the line "tss1\n" followed by records whose id is the
+   entry key. A journal is "tsj2 <fingerprint-hex>\n" followed by records
+   whose id is the item id. Segment names start with the creation time in
+   fixed-width hex, so name order is creation order.
 
    The magics double as the format version: bumping them makes every old
-   entry unreadable, which the readers below treat as a miss. *)
+   segment or journal unreadable, which the readers below treat as a
+   miss. Stores written in the older one-file-per-entry layout are
+   ignored the same way. *)
 
 module Lru = Lru
 
@@ -34,12 +36,100 @@ let m_j_degraded =
 let m_j_discarded =
   Ts_obs.Metrics.counter Ts_obs.Metrics.default "persist.journal.discarded"
 
-(* [tmp_seq] must be atomic, not a plain field: under the resident
-   domain pool every worker shares one pid, so the pid alone cannot
-   distinguish two concurrent [store]s of different keys — a raced
-   plain counter could hand both the same temp path and let their
-   atomic renames corrupt each other. *)
-type t = { root : string; tmp_seq : int Atomic.t }
+(* I/O latency distributions: [open_store] (the segment scan), [find]
+   (index lookup+read+digest+unmarshal), [store_exn]
+   (marshal+digest+append) and journal-record wall time. *)
+let m_open_ms =
+  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.open_ms"
+
+let m_read_ms =
+  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.read_ms"
+
+let m_write_ms =
+  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.write_ms"
+
+let m_j_write_ms =
+  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.journal.write_ms"
+
+let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000.0
+
+(* ---- record framing ---- *)
+
+let frame ~id ~digest payload =
+  String.concat ""
+    [
+      Printf.sprintf "r %d %d %s\n" (String.length id) (String.length payload)
+        (Digest.to_hex digest);
+      id;
+      payload;
+      "\n";
+    ]
+
+(* A non-negative decimal ending at the first [stop] char: [(n, pos after
+   stop)]. At most 15 digits, so a garbled length cannot overflow. *)
+let parse_nat s pos stop =
+  let n = String.length s in
+  let rec go i acc =
+    if i >= n || i - pos > 15 then None
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> go (i + 1) ((acc * 10) + Char.code c - 48)
+      | c when c = stop && i > pos -> Some (acc, i + 1)
+      | _ -> None
+  in
+  go pos 0
+
+(* Calls [f ~id ~off ~len ~digest] for each well-framed record from
+   [pos] on, where the payload is [String.sub s off len]. A crash
+   mid-append leaves a truncated tail, which just ends the walk early;
+   payload digests are the caller's to check. *)
+let iter_records s pos f =
+  let n = String.length s in
+  let rec go pos =
+    if pos + 2 <= n && s.[pos] = 'r' && s.[pos + 1] = ' ' then
+      match parse_nat s (pos + 2) ' ' with
+      | None -> ()
+      | Some (idl, p) -> (
+          match parse_nat s p ' ' with
+          | None -> ()
+          | Some (pl, p) when p + 33 <= n && s.[p + 32] = '\n' -> (
+              match Digest.from_hex (String.sub s p 32) with
+              | exception Invalid_argument _ -> ()
+              | digest ->
+                  let body = p + 33 in
+                  let stop = body + idl + pl in
+                  if stop < n && s.[stop] = '\n' then begin
+                    f ~id:(String.sub s body idl) ~off:(body + idl) ~len:pl
+                      ~digest;
+                    go (stop + 1)
+                  end)
+          | Some _ -> ())
+  in
+  go pos
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* ---- the store ---- *)
+
+(* Where a key's latest record lives. [seg] is shared by every entry of
+   one segment. *)
+type entry = { seg : string; off : int; len : int; digest : Digest.t }
+
+type t = {
+  root : string;
+  lock : Mutex.t; (* guards [index] and [out] *)
+  index : (string, entry) Hashtbl.t;
+  (* The segment this handle appends to, created on its first write. *)
+  mutable out : (string * Unix.file_descr) option;
+}
+
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let rec mkdir_p path =
   if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path)
@@ -49,20 +139,41 @@ let rec mkdir_p path =
      with Sys_error _ when Sys.file_exists path -> ())
   end
 
-let entry_magic = "tsp1"
-let journal_magic = "tsj1"
+let segment_magic = "tss1\n"
+let journal_magic = "tsj2"
+let stamp = "tsms result store, segment format tss1, journal tsj2\n"
+let segments_dir root = Filename.concat root "segments"
 
 let open_store ~dir =
   Ts_resil.Fault.guard "persist.open";
-  mkdir_p (Filename.concat dir "objects");
+  let t0 = Unix.gettimeofday () in
+  mkdir_p (segments_dir dir);
   mkdir_p (Filename.concat dir "journals");
   let vfile = Filename.concat dir "version" in
-  if not (Sys.file_exists vfile) then begin
+  if (try read_file vfile with Sys_error _ -> "") <> stamp then begin
     let oc = open_out vfile in
-    output_string oc "tsms result store, entry format tsp1, journal tsj1\n";
+    output_string oc stamp;
     close_out oc
   end;
-  { root = dir; tmp_seq = Atomic.make 0 }
+  (* Later records win: segments in creation order, records in file
+     order. An unreadable segment, or one in another format, adds
+     nothing. *)
+  let index = Hashtbl.create 1024 in
+  let names = Sys.readdir (segments_dir dir) in
+  Array.sort compare names;
+  Array.iter
+    (fun name ->
+      if Filename.check_suffix name ".seg" then
+        let seg = Filename.concat (segments_dir dir) name in
+        match read_file seg with
+        | s when String.starts_with ~prefix:segment_magic s ->
+            iter_records s (String.length segment_magic)
+              (fun ~id ~off ~len ~digest ->
+                Hashtbl.replace index id { seg; off; len; digest })
+        | _ | (exception Sys_error _) -> ())
+    names;
+  Ts_obs.Metrics.observe m_open_ms (ms_since t0);
+  { root = dir; lock = Mutex.create (); index; out = None }
 
 let dir t = t.root
 
@@ -92,71 +203,101 @@ let default_dir () =
 
 let digest_hex s = Digest.to_hex (Digest.string s)
 
-let entry_path t key =
-  let shard = if String.length key >= 2 then String.sub key 0 2 else "xx" in
-  Filename.concat
-    (Filename.concat (Filename.concat t.root "objects") shard)
-    (key ^ ".bin")
-
-(* I/O latency distributions: [find] (open+read+digest+unmarshal) and
-   [store_exn] (marshal+digest+write+rename) wall time. *)
-let m_read_ms =
-  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.read_ms"
-
-let m_write_ms =
-  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.write_ms"
-
-let m_j_write_ms =
-  Ts_obs.Metrics.histogram Ts_obs.Metrics.default "persist.journal.write_ms"
-
-let read_file path =
+let read_payload (e : entry) =
   Ts_resil.Fault.guard "persist.read";
-  let ic = open_in_bin path in
+  let fd = Unix.openfile e.seg [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.lseek fd e.off Unix.SEEK_SET);
+      let b = Bytes.create e.len in
+      let rec fill pos =
+        if pos < e.len then
+          match Unix.read fd b pos (e.len - pos) with
+          | 0 -> raise End_of_file
+          | k -> fill (pos + k)
+      in
+      fill 0;
+      Bytes.unsafe_to_string b)
 
-(* Every failure mode — missing file, bad magic, digest mismatch,
+(* Every failure mode — unknown key, unreadable segment, digest mismatch,
    truncated marshal — is a miss; a cache must never take the computation
-   down with it. *)
+   down with it. A record that fails leaves the index, so the next lookup
+   misses without touching the disk and the next [store] replaces it. *)
 let find (type a) t ~key : a option =
   Ts_obs.Prof.span "persist.read" @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let path = entry_path t key in
+  let e = locked t (fun () -> Hashtbl.find_opt t.index key) in
   let parsed =
-    try
-      let s = read_file path in
-      (* "tsp1 " ^ 32 hex ^ "\n" *)
-      let hdr = String.length entry_magic + 1 + 32 + 1 in
-      if
-        String.length s >= hdr
-        && String.sub s 0 (String.length entry_magic) = entry_magic
-        && s.[hdr - 1] = '\n'
-      then begin
-        let want = String.sub s (String.length entry_magic + 1) 32 in
-        let payload = String.sub s hdr (String.length s - hdr) in
-        if Digest.to_hex (Digest.string payload) = want then
-          Some (Marshal.from_string payload 0 : a)
-        else None
-      end
-      else None
-    with _ -> None
+    match e with
+    | None -> None
+    | Some e -> (
+        try
+          let payload = read_payload e in
+          if Digest.equal (Digest.string payload) e.digest then
+            Some (Marshal.from_string payload 0 : a)
+          else None
+        with _ -> None)
   in
-  (match parsed with
-  | Some _ -> Ts_obs.Metrics.incr m_hits
-  | None ->
+  (match (parsed, e) with
+  | Some _, _ -> Ts_obs.Metrics.incr m_hits
+  | None, None -> Ts_obs.Metrics.incr m_misses
+  | None, Some e ->
       Ts_obs.Metrics.incr m_misses;
-      if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ()));
-  Ts_obs.Metrics.observe m_read_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
+      locked t (fun () ->
+          (* Unless a concurrent [store] already replaced it. *)
+          match Hashtbl.find_opt t.index key with
+          | Some e' when e' == e -> Hashtbl.remove t.index key
+          | _ -> ()));
+  Ts_obs.Metrics.observe m_read_ms (ms_since t0);
   parsed
+
+(* Segment names sort in creation order: microseconds since the epoch,
+   then pid and a per-process sequence number to keep simultaneous
+   creations apart (O_EXCL catches the rest). *)
+let seg_seq = Atomic.make 0
+
+let rec create_segment root =
+  let name =
+    Printf.sprintf "%014x-%08x-%06x.seg"
+      (int_of_float (Unix.gettimeofday () *. 1e6))
+      (Unix.getpid ())
+      (Atomic.fetch_and_add seg_seq 1)
+  in
+  let path = Filename.concat (segments_dir root) name in
+  match
+    Unix.openfile path
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_APPEND; Unix.O_CLOEXEC ]
+      0o644
+  with
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> create_segment root
+  | fd -> (
+      match Unix.write_substring fd segment_magic 0 (String.length segment_magic)
+      with
+      | _ -> (path, fd)
+      | exception e ->
+          Unix.close fd;
+          raise e)
+
+(* A failed append may have left a partial record behind: this handle
+   stops appending there, so the partial record stays the segment's
+   tail, and the next write starts a new segment. *)
+let abandon_segment t =
+  match t.out with
+  | None -> ()
+  | Some (_, fd) ->
+      t.out <- None;
+      (try Unix.close fd with Unix.Unix_error _ -> ())
 
 let store_exn t ~key v =
   Ts_obs.Prof.span "persist.write" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let payload = Marshal.to_string v [] in
-  (* A torn fault simulates a crash or short write that still left a file
-     behind: the truncated payload fails its digest check on the next
-     [find], which must treat it as a miss and delete it. *)
+  let digest = Digest.string payload in
+  (* A torn fault simulates a crash or short write that still left the
+     record's bytes behind: its second half is garbled, so it fails its
+     digest on the next [find], which must treat it as a miss. The
+     declared length is kept, so later records stay framed. *)
   let torn =
     match Ts_resil.Fault.check "persist.write" with
     | None -> false
@@ -166,29 +307,38 @@ let store_exn t ~key v =
         false
     | Some Ts_resil.Fault.Exn -> raise (Ts_resil.Fault.Injected "persist.write")
   in
-  let path = entry_path t key in
-  mkdir_p (Filename.dirname path);
-  let tmp =
-    let seq = Atomic.fetch_and_add t.tmp_seq 1 in
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) seq
+  let payload =
+    if not torn then payload
+    else
+      String.mapi
+        (fun i c ->
+          if i < String.length payload / 2 then c
+          else Char.chr (Char.code c lxor 0xff))
+        payload
   in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc entry_magic;
-     output_char oc ' ';
-     output_string oc (Digest.to_hex (Digest.string payload));
-     output_char oc '\n';
-     if torn then
-       output_string oc (String.sub payload 0 (String.length payload / 2))
-     else output_string oc payload;
-     close_out oc;
-     Ts_resil.Fault.guard "persist.rename";
-     Sys.rename tmp path
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Ts_obs.Metrics.observe m_write_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
+  let rec_ = frame ~id:key ~digest payload in
+  locked t (fun () ->
+      let seg, fd =
+        match t.out with
+        | Some s -> s
+        | None ->
+            let s = create_segment t.root in
+            t.out <- Some s;
+            s
+      in
+      (* O_APPEND leaves the file offset at the end of this record. *)
+      let end_ =
+        try
+          Ts_resil.Fault.guard "persist.append";
+          ignore (Unix.write_substring fd rec_ 0 (String.length rec_));
+          Unix.lseek fd 0 Unix.SEEK_CUR
+        with e ->
+          abandon_segment t;
+          raise e
+      in
+      let len = String.length payload in
+      Hashtbl.replace t.index key { seg; off = end_ - 1 - len; len; digest });
+  Ts_obs.Metrics.observe m_write_ms (ms_since t0);
   Ts_obs.Metrics.incr m_stores
 
 (* A cache must never take the computation down with it: a failed write
@@ -226,12 +376,11 @@ module Journal = struct
 
   (* Parse as much of the log as is well formed — whatever fingerprint it
      was written under, so a mismatch can still report what it is
-     discarding. A crash mid-append leaves a truncated tail, which just
-     ends the replay early. *)
+     discarding. A record whose payload fails its digest is skipped. *)
   let parse s =
     let mlen = String.length journal_magic in
     let hlen = mlen + 1 + 32 + 1 in
-    (* "tsj1 " ^ 32 hex ^ "\n" *)
+    (* "tsj2 " ^ 32 hex ^ "\n" *)
     if
       String.length s < hlen
       || String.sub s 0 mlen <> journal_magic
@@ -241,21 +390,9 @@ module Journal = struct
     else begin
       let disk_fp = String.sub s (mlen + 1) 32 in
       let tbl = Hashtbl.create 64 in
-      let pos = ref hlen and ok = ref true in
-      while !ok do
-        match String.index_from_opt s !pos '\n' with
-        | None -> ok := false
-        | Some nl -> (
-            let line = String.sub s !pos (nl - !pos) in
-            match Scanf.sscanf_opt line "r %d %d" (fun a b -> (a, b)) with
-            | Some (idl, pl)
-              when idl >= 0 && pl >= 0 && nl + 1 + idl + pl + 1 <= String.length s
-                   && s.[nl + 1 + idl + pl] = '\n' ->
-                let id = String.sub s (nl + 1) idl in
-                Hashtbl.replace tbl id (String.sub s (nl + 1 + idl) pl);
-                pos := nl + 1 + idl + pl + 1
-            | _ -> ok := false)
-      done;
+      iter_records s hlen (fun ~id ~off ~len ~digest ->
+          if Digest.equal (Digest.substring s off len) digest then
+            Hashtbl.replace tbl id (String.sub s off len));
       Some (disk_fp, tbl)
     end
 
@@ -317,9 +454,9 @@ module Journal = struct
     Ts_obs.Prof.span "persist.journal.write" @@ fun () ->
     let t0 = Unix.gettimeofday () in
     let payload = Marshal.to_string v [] in
+    let rec_ = frame ~id ~digest:(Digest.string payload) payload in
     Fun.protect ~finally:(fun () ->
-        Ts_obs.Metrics.observe m_j_write_ms
-          ((Unix.gettimeofday () -. t0) *. 1000.0))
+        Ts_obs.Metrics.observe m_j_write_ms (ms_since t0))
     @@ fun () ->
     Mutex.lock j.jlock;
     Fun.protect
@@ -330,11 +467,7 @@ module Journal = struct
         | Some oc -> (
             try
               Ts_resil.Fault.guard "journal.write";
-              Printf.fprintf oc "r %d %d\n" (String.length id)
-                (String.length payload);
-              output_string oc id;
-              output_string oc payload;
-              output_char oc '\n';
+              output_string oc rec_;
               flush oc
             with e ->
               close_out_noerr oc;

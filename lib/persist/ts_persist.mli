@@ -15,19 +15,39 @@
     them — both restrictions are fine for a cache, where the worst case
     of a mismatch is a recompute.
 
+    Layout and visibility:
+
+    - {b Append-only segments}: each handle that writes appends its
+      entries to a segment file of its own, [<dir>/segments/*.seg],
+      created on its first {!store}. Every record is framed with its key,
+      its length and a digest of its payload, and is handed to the
+      operating system unbuffered, under the handle's mutex, before
+      {!store} returns. No entry is ever rewritten in place.
+    - {b Index}: each handle keeps a key → record table in memory. It is
+      built by {!open_store} from every segment present at that moment,
+      scanned in creation order: for a key written through two handles
+      the later-created segment's record wins, and within a segment the
+      later record wins. Every {!store} through the handle updates it. A {!find} reads just
+      that record's payload.
+    - {b What other handles see}: a handle sees every entry flushed
+      before its {!open_store}, plus its own writes. Entries another
+      handle or process writes afterwards stay invisible to it until it
+      is reopened; meanwhile it just misses and recomputes them.
+    - {b Torn tails}: a crash or a failed append can leave a partial
+      record, but only at a segment's end: a handle whose append fails
+      closes that segment and starts a new one at its next write. The
+      scan keeps every record before the tear.
+
     Robustness guarantees:
 
-    - {b Atomic writes}: entries are written to a tempfile in the store
-      and renamed into place, so readers (including concurrent processes)
-      never see a partial entry.
-    - {b Corruption tolerance}: every entry carries a format magic and a
-      digest of its payload. A truncated, corrupted or
-      wrong-binary-version entry reads as [None] (and is deleted best
-      effort) — the caller recomputes; nothing ever escalates to an
-      exception.
+    - {b Corruption tolerance}: a truncated, corrupted or
+      wrong-binary-version entry reads as [None] (and leaves the
+      handle's index) — the caller recomputes; nothing ever escalates to
+      an exception. Segments and journals in an older format are
+      ignored.
     - {b Crash-safe journals}: sweep journals are append-only and flushed
-      per record; a journal with a truncated tail replays every record
-      before the truncation point.
+      per record, with the same framing as segments; a journal with a
+      truncated tail replays every record before the truncation point.
     - {b Write degradation}: a failed entry write (disk full, unwritable
       store) never aborts the computation — {!store} warns once, counts
       [persist.degraded], and the run continues uncached. A failed
@@ -36,11 +56,13 @@
 
     Every I/O path is instrumented with {!Ts_resil.Fault} counter points
     ([persist.open], [persist.read], [persist.write] — kind [torn]
-    supported — [persist.rename], [journal.open], [journal.write]), so
+    supported — [persist.append], [journal.open], [journal.write]), so
     each degradation above is exercisable deterministically in tests.
 
     Hit/miss/store counters land on {!Ts_obs.Metrics.default} under
-    [persist.*]. All operations are domain-safe. *)
+    [persist.*], with latency histograms for the open scan
+    ([persist.open_ms]), reads and writes. All operations are
+    domain-safe. *)
 
 module Lru = Lru
 (** The in-memory LRU front for this store (re-exported:
@@ -50,8 +72,9 @@ type t
 (** An open store rooted at a directory. *)
 
 val open_store : dir:string -> t
-(** Open (creating directories as needed) the store rooted at [dir].
-    Raises [Sys_error] if the directory cannot be created. *)
+(** Open (creating directories as needed) the store rooted at [dir] and
+    index its segments. Raises [Sys_error] if the directory cannot be
+    created. *)
 
 val dir : t -> string
 
@@ -70,13 +93,15 @@ val digest_hex : string -> string
 
 val find : t -> key:string -> 'a option
 (** Look the key up. [None] on absence or corruption (the unreadable
-    entry is removed best effort). The ['a] is whatever {!store} put
+    record leaves this handle's index). The ['a] is whatever {!store} put
     there — callers keep key spaces for different result types disjoint
     by construction (a kind tag inside the digested string). *)
 
 val store : t -> key:string -> 'a -> unit
-(** Write atomically (tempfile + rename; concurrent writers of the same
-    key are safe, last rename wins). Never raises: a write failure warns
+(** Append the entry to this handle's segment and index it; the record
+    is flushed before this returns. Concurrent stores of the same key
+    through one handle are safe (the last append wins). Never raises: a
+    write failure warns
     once, increments [persist.degraded] and leaves the run uncached for
     this entry — the cache must never take the computation down with
     it. *)

@@ -12,7 +12,7 @@
 
     - {b counter points} ({!check}, {!guard}): each call consumes one
       occurrence of the point, numbered from 1 in call order. Used by the
-      persist layer ([persist.write], [persist.read], [persist.rename],
+      persist layer ([persist.write], [persist.read], [persist.append],
       [persist.open], [journal.open], [journal.write]) and the cached
       reconstruction path ([cached.reconstruct]). Occurrence numbering is
       deterministic for sequential callers (tests run with [--jobs 1]);
@@ -37,7 +37,7 @@
 
 type kind =
   | Exn  (** raise {!Injected} at the point *)
-  | Torn  (** persist writes only: write a truncated payload "successfully" *)
+  | Torn  (** persist writes only: write a garbled payload "successfully" *)
   | Slow of int  (** sleep this many milliseconds, then proceed *)
 
 type entry = {

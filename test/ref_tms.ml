@@ -102,7 +102,8 @@ let admissible s v ~cycle ~c_delay ~p_max ~c_reg_com =
 
 (* Returns [Ok kernel], or [Error v] naming the first node whose
    placement failed (empty window or every candidate slot rejected) —
-   the oracle counterpart of [Tms.try_schedule_explained]'s blame. *)
+   the oracle counterpart of the [Tms.reject] blame a failed grid point
+   records. *)
 let try_schedule g ~order ~ii ~c_delay ~p_max ~c_reg_com =
   let s = S.create g ~ii in
   let place_one (v, prefer) =

@@ -29,12 +29,44 @@ let with_store f =
       rm dir)
     (fun () -> f (P.open_store ~dir))
 
-(* objects/<shard>/<key>.bin — the documented layout, relied on here to
-   corrupt entries in place. *)
-let object_path store key =
-  Filename.concat
-    (Filename.concat (Filename.concat (P.dir store) "objects") (String.sub key 0 2))
-    (key ^ ".bin")
+let read path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* segments/*.seg, one per writing handle, in creation order — the
+   documented layout, relied on here to corrupt records in place. *)
+let segments store =
+  let d = Filename.concat (P.dir store) "segments" in
+  Sys.readdir d |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".seg")
+  |> List.sort compare
+  |> List.map (Filename.concat d)
+
+let the_segment store =
+  match segments store with
+  | [ p ] -> p
+  | ps -> Alcotest.failf "expected one segment, found %d" (List.length ps)
+
+(* (key, start offset) of every record in a segment, walking the
+   documented framing: a "tss1\n" header, then records
+   "r <id-len> <payload-len> <digest-hex>\n<id><payload>\n". *)
+let segment_records path =
+  let s = read path in
+  let rec go pos acc =
+    match String.index_from_opt s pos '\n' with
+    | None -> List.rev acc
+    | Some nl -> (
+        match
+          Scanf.sscanf_opt (String.sub s pos (nl - pos)) "r %d %d %_s"
+            (fun idl pl -> (idl, pl))
+        with
+        | Some (idl, pl) when nl + idl + pl + 1 < String.length s ->
+            go (nl + idl + pl + 2) ((String.sub s (nl + 1) idl, pos) :: acc)
+        | _ -> List.rev acc)
+  in
+  go (String.length "tss1\n") []
 
 let test_roundtrip () =
   with_store (fun s ->
@@ -47,9 +79,7 @@ let test_roundtrip () =
         ((P.find s ~key:(P.digest_hex "other") : int option) = None))
 
 let clobber path f =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let s = read path in
   let oc = open_out_bin path in
   output_string oc (f s);
   close_out oc
@@ -58,24 +88,118 @@ let test_corruption_is_a_miss () =
   with_store (fun s ->
       let key = P.digest_hex "corrupt" in
       P.store s ~key [ 1; 2; 3 ];
-      let path = object_path s key in
-      (* Flip a payload byte: digest check fails, entry is dropped. *)
-      clobber path (fun body ->
-          let b = Bytes.of_string body in
-          let i = Bytes.length b - 1 in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-          Bytes.to_string b);
+      let path = the_segment s in
+      (* Flip the record's last payload byte (the one before its closing
+         newline): the digest check fails, the record leaves the index. *)
+      let flip body =
+        let b = Bytes.of_string body in
+        let i = Bytes.length b - 2 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+        Bytes.to_string b
+      in
+      clobber path flip;
       check_bool "garbled entry misses" true
         ((P.find s ~key : int list option) = None);
-      check_bool "garbled entry deleted" false (Sys.file_exists path);
-      (* Truncation likewise. *)
+      (* Undoing the damage on disk does not bring it back: the record
+         was dropped, not just skipped once. *)
+      clobber path flip;
+      check_bool "garbled entry deleted" true
+        ((P.find s ~key : int list option) = None);
+      (* Truncation likewise: cut the rewritten record mid-payload. *)
       P.store s ~key [ 1; 2; 3 ];
-      clobber path (fun body -> String.sub body 0 (String.length body / 2));
+      clobber path (fun body -> String.sub body 0 (String.length body - 4));
       check_bool "truncated entry misses" true
         ((P.find s ~key : int list option) = None);
       (* And the store still works after both. *)
       P.store s ~key [ 4 ];
       check_bool "recovers" true (P.find s ~key = Some [ 4 ]))
+
+(* A crash mid-append leaves a partial record at a segment's end. Cut the
+   last record inside its header, its payload and its closing newline:
+   a handle opened afterwards serves every earlier record, and the torn
+   one misses. *)
+let test_torn_segment_tail () =
+  with_store (fun s ->
+      let keys = List.init 4 (fun i -> P.digest_hex (Printf.sprintf "tail-%d" i)) in
+      List.iteri (fun i key -> P.store s ~key (i, "value")) keys;
+      let path = the_segment s in
+      let intact = read path in
+      let last = snd (List.nth (segment_records path) 3) in
+      List.iter
+        (fun cut ->
+          clobber path (fun _ -> String.sub intact 0 cut);
+          let s2 = P.open_store ~dir:(P.dir s) in
+          List.iteri
+            (fun i key ->
+              let got : (int * string) option = P.find s2 ~key in
+              if i < 3 then
+                check_bool
+                  (Printf.sprintf "cut at %d: record %d served" cut i)
+                  true
+                  (got = Some (i, "value"))
+              else
+                check_bool (Printf.sprintf "cut at %d: torn record misses" cut)
+                  true (got = None))
+            keys)
+        [ last + 3; (last + String.length intact) / 2; String.length intact - 1 ])
+
+(* Each writing handle appends to its own segment; a handle opened later
+   indexes them all in creation order, so a key written through both
+   handles resolves to the later write. *)
+let test_two_handles_interleaved () =
+  with_store (fun a ->
+      let b = P.open_store ~dir:(P.dir a) in
+      let k = P.digest_hex in
+      P.store a ~key:(k "shared") "a, earlier";
+      P.store a ~key:(k "rewritten") "first";
+      for i = 0 to 9 do
+        P.store a ~key:(k (Printf.sprintf "a-%d" i)) i;
+        P.store b ~key:(k (Printf.sprintf "b-%d" i)) (100 + i)
+      done;
+      P.store b ~key:(k "shared") "b, later";
+      P.store a ~key:(k "rewritten") "second";
+      check_int "one segment per writing handle" 2 (List.length (segments a));
+      check_bool "a handle sees another's writes only once reopened" true
+        ((P.find a ~key:(k "b-0") : int option) = None);
+      let c = P.open_store ~dir:(P.dir a) in
+      for i = 0 to 9 do
+        check_bool (Printf.sprintf "a-%d visible" i) true
+          (P.find c ~key:(k (Printf.sprintf "a-%d" i)) = Some i);
+        check_bool (Printf.sprintf "b-%d visible" i) true
+          (P.find c ~key:(k (Printf.sprintf "b-%d" i)) = Some (100 + i))
+      done;
+      check_bool "later write wins across handles" true
+        (P.find c ~key:(k "shared") = Some "b, later");
+      check_bool "later write wins within a segment" true
+        (P.find c ~key:(k "rewritten") = Some "second"))
+
+(* A failed append abandons its segment: what was written before stays
+   readable, and the next store lands in a new segment. *)
+let test_failed_append_recovers () =
+  with_store (fun s ->
+      let k = P.digest_hex in
+      P.store s ~key:(k "before") 1;
+      Ts_resil.Warn.set_sink (Some ignore);
+      Fun.protect
+        ~finally:(fun () ->
+          Ts_resil.Fault.disarm ();
+          Ts_resil.Warn.set_sink None)
+        (fun () ->
+          match Ts_resil.Fault.parse "persist.append@1" with
+          | Ok plan ->
+              Ts_resil.Fault.arm plan;
+              P.store s ~key:(k "failed") 2
+          | Error e -> Alcotest.fail e);
+      check_bool "earlier record readable" true (P.find s ~key:(k "before") = Some 1);
+      check_bool "failed record misses" true
+        ((P.find s ~key:(k "failed") : int option) = None);
+      P.store s ~key:(k "after") 3;
+      check_bool "next store lands" true (P.find s ~key:(k "after") = Some 3);
+      check_int "the next store started a new segment" 2
+        (List.length (segments s));
+      let s2 = P.open_store ~dir:(P.dir s) in
+      check_bool "reopened: both records served" true
+        (P.find s2 ~key:(k "before") = Some 1 && P.find s2 ~key:(k "after") = Some 3))
 
 let test_version_in_key_invalidates () =
   (* Cached stamps code_version into every key; this is the mechanism. *)
@@ -186,19 +310,13 @@ let test_cached_reconstruction_guard () =
       with_store (fun s ->
           Cached.set_store (Some s);
           let r1 = Cached.tms_sweep ~params g in
-          (* Overwrite every object with a marshalled value of the wrong
+          (* Overwrite every entry with a marshalled value of the wrong
              type: find will either fail the digest, or reconstruction
              will reject it — both must fall back to recomputation. *)
-          let objects = Filename.concat (P.dir s) "objects" in
-          Array.iter
-            (fun shard ->
-              let sd = Filename.concat objects shard in
-              Array.iter
-                (fun f ->
-                  let key = Filename.chop_suffix f ".bin" in
-                  P.store s ~key (( "bogus", [| 3 |] ) : string * int array))
-                (Sys.readdir sd))
-            (Sys.readdir objects);
+          List.iter
+            (fun (key, _) ->
+              P.store s ~key (( "bogus", [| 3 |] ) : string * int array))
+            (segment_records (the_segment s));
           let r2 = Cached.tms_sweep ~params g in
           check_bool "recomputed result identical" true
             (k_plain r1.Ts_tms.Tms.kernel = k_plain r2.Ts_tms.Tms.kernel
@@ -218,11 +336,10 @@ let test_fast_path_equals_exact_on_fuzz_seeds () =
 
 (* --- multi-domain store safety ---
 
-   Under the resident pool every worker shares one pid, so the tempfile
-   name disambiguator must be atomic: pre-fix, two domains storing
-   concurrently could write the same tmp file and rename a torn mix.
-   Hammer both the distinct-key and the same-key paths and require zero
-   degradations and intact entries. *)
+   Under the resident pool every worker shares one handle, so appends to
+   its segment and updates of its index must not interleave. Hammer both
+   the distinct-key and the same-key paths and require zero degradations
+   and intact entries. *)
 
 let test_concurrent_store_distinct_keys () =
   with_store (fun s ->
@@ -578,6 +695,12 @@ let suite =
     Alcotest.test_case "lru matches reference model" `Quick test_lru_matches_model;
     Alcotest.test_case "lru domain safety" `Quick test_lru_domain_safety;
     Alcotest.test_case "corruption is a miss" `Quick test_corruption_is_a_miss;
+    Alcotest.test_case "torn segment tail keeps the prefix" `Quick
+      test_torn_segment_tail;
+    Alcotest.test_case "two handles interleaved, later wins" `Quick
+      test_two_handles_interleaved;
+    Alcotest.test_case "failed append keeps earlier records" `Quick
+      test_failed_append_recovers;
     Alcotest.test_case "version bump invalidates" `Quick test_version_in_key_invalidates;
     Alcotest.test_case "memo computes once" `Quick test_memo_computes_once;
     Alcotest.test_case "journal resume replay" `Quick test_journal_resume;

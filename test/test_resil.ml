@@ -2,7 +2,7 @@
    degradation paths it drives through Ts_persist, Cached and the
    harness: plan parsing, occurrence counters, retry/backoff determinism,
    full failure aggregation, keep-going sweeps, every persist degradation
-   (write, torn, read, rename, journal write, fingerprint discard), and
+   (write, torn, read, append, journal write, fingerprint discard), and
    the property that an injected-fault run whose retries succeed is
    bit-identical to a fault-free run. *)
 
@@ -314,13 +314,17 @@ let test_store_torn_write () =
       let d0 = cval "persist.degraded" in
       let key = P.digest_hex "torn" in
       P.store s ~key [ 1; 2; 3 ];
-      (* The torn entry landed on disk but fails its digest: a miss, and
-         the corrupt file is removed. *)
+      (* The torn record landed on disk but fails its digest: a miss, and
+         the record leaves the index. *)
       check_bool "torn entry reads as a miss" true
         ((P.find s ~key : int list option) = None);
       check_int "torn is not a degrade" 0 (cval "persist.degraded" - d0);
       P.store s ~key [ 1; 2; 3 ];
-      check_bool "rewrite heals" true (P.find s ~key = Some [ 1; 2; 3 ]))
+      check_bool "rewrite heals" true (P.find s ~key = Some [ 1; 2; 3 ]);
+      (* The torn record kept its declared length, so the rewrite after it
+         stays framed for a handle opened later. *)
+      check_bool "reopened store sees the rewrite" true
+        (P.find (P.open_store ~dir:(P.dir s)) ~key = Some [ 1; 2; 3 ]))
 
 let test_read_fault_is_miss () =
   with_store (fun s ->
@@ -329,19 +333,20 @@ let test_read_fault_is_miss () =
       arm_ok "persist.read@1";
       check_bool "injected read error is a miss" true
         ((P.find s ~key : string option) = None);
-      (* The miss deleted the unreadable entry (by design); recompute+store
-         brings it back and the next read is clean. *)
+      (* The miss dropped the unreadable entry from the index (by
+         design); recompute+store brings it back and the next read is
+         clean. *)
       P.store s ~key "v";
       check_bool "subsequent read hits" true (P.find s ~key = Some "v"))
 
-let test_rename_fault_degrades () =
+let test_append_fault_degrades () =
   with_store (fun s ->
       let got = capture_warnings () in
-      arm_ok "persist.rename@1";
+      arm_ok "persist.append@1";
       let d0 = cval "persist.degraded" in
       let key = P.digest_hex "mv" in
       P.store s ~key 7;
-      check_bool "failed rename is a miss" true ((P.find s ~key : int option) = None);
+      check_bool "failed append is a miss" true ((P.find s ~key : int option) = None);
       check_int "persist.degraded" 1 (cval "persist.degraded" - d0);
       check_int "warned once" 1 (List.length (got ())))
 
@@ -642,8 +647,8 @@ let suite =
       (scrub test_store_torn_write);
     Alcotest.test_case "persist: read fault is a miss" `Quick
       (scrub test_read_fault_is_miss);
-    Alcotest.test_case "persist: rename fault degrades" `Quick
-      (scrub test_rename_fault_degrades);
+    Alcotest.test_case "persist: append fault degrades" `Quick
+      (scrub test_append_fault_degrades);
     Alcotest.test_case "persist: open fault raises" `Quick
       (scrub test_open_fault_raises);
     Alcotest.test_case "journal: write fault degrades" `Quick
